@@ -1,7 +1,6 @@
 #include "hbguard/core/guard.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "hbguard/core/guard_state.hpp"
 #include "hbguard/util/logging.hpp"
@@ -168,18 +167,15 @@ GuardReport Guard::run() {
 IoId Guard::latest_violating_update(const Violation& violation) const {
   // Served from the per-prefix index scan() maintains from the capture
   // delta — the last matching update in capture order, exactly what the
-  // old full rescan returned.
-  auto latest_fib_update = [&](RouterId router, const Prefix& prefix) -> IoId {
-    if (router != kInvalidRouter) {
-      auto it = latest_fib_update_by_router_.find({router, prefix});
-      return it != latest_fib_update_by_router_.end() ? it->second : kNoIo;
+  // old full rescan returned: the violating router's own, else any router's.
+  auto it = latest_fib_updates_.find(violation.prefix);
+  if (it == latest_fib_updates_.end()) return kNoIo;
+  if (violation.router != kInvalidRouter) {
+    for (const auto& [router, io] : it->second.by_router) {
+      if (router == violation.router) return io;
     }
-    auto it = latest_fib_update_.find(prefix);
-    return it != latest_fib_update_.end() ? it->second : kNoIo;
-  };
-  IoId io = latest_fib_update(violation.router, violation.prefix);
-  if (io == kNoIo) io = latest_fib_update(kInvalidRouter, violation.prefix);
-  return io;
+  }
+  return it->second.any;
 }
 
 std::vector<IoId> Guard::violating_fib_updates(const std::vector<Violation>& violations) const {
@@ -248,9 +244,14 @@ void Guard::rank_causes_by_traffic(ProvenanceResult& provenance,
 
 namespace {
 std::string violation_signature(const std::vector<Violation>& violations) {
-  std::ostringstream out;
-  for (const Violation& v : violations) out << v.policy << '|' << v.router << ';';
-  return out.str();
+  std::string out;
+  for (const Violation& v : violations) {
+    out += v.policy;
+    out += '|';
+    out += std::to_string(v.router);
+    out += ';';
+  }
+  return out;
 }
 }  // namespace
 
@@ -289,9 +290,15 @@ std::vector<Violation> Guard::scan() {
   // Fold the capture delta into the per-prefix FIB-update index before any
   // early return, so provenance lookups later this scan see every record.
   for (const IoRecord& r : capture.records_since(fib_index_cursor_)) {
-    if (r.kind == IoKind::kFibUpdate && r.prefix.has_value()) {
-      latest_fib_update_[*r.prefix] = r.id;
-      latest_fib_update_by_router_[{r.router, *r.prefix}] = r.id;
+    if (r.kind != IoKind::kFibUpdate || !r.prefix.has_value()) continue;
+    LatestFibUpdates& latest = latest_fib_updates_[*r.prefix];
+    latest.any = r.id;
+    auto mine = std::find_if(latest.by_router.begin(), latest.by_router.end(),
+                             [&](const auto& entry) { return entry.first == r.router; });
+    if (mine != latest.by_router.end()) {
+      mine->second = r.id;
+    } else {
+      latest.by_router.emplace_back(r.router, r.id);
     }
   }
   fib_index_cursor_ = capture.records().size();
@@ -415,13 +422,13 @@ std::vector<Violation> Guard::scan() {
     return {};
   }
 
-  if (repair_in_flight_) return result.violations;  // converging after a repair
+  if (repair_in_flight_) return std::move(result.violations);  // converging after a repair
 
   std::string signature = violation_signature(result.violations);
   if (signature == last_violation_signature_) {
-    return result.violations;  // already reported; nothing new to do
+    return std::move(result.violations);  // already reported; nothing new to do
   }
-  last_violation_signature_ = signature;
+  last_violation_signature_ = std::move(signature);
 
   GuardIncident incident;
   incident.detected_at = network_.sim().now();
@@ -511,7 +518,7 @@ std::vector<Violation> Guard::scan() {
     }
   }
   report_.incidents.push_back(std::move(incident));
-  return result.violations;
+  return std::move(result.violations);
 }
 
 Guard::ProposalOutcome Guard::approve_proposal(std::uint64_t id) {

@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbg/incremental.hpp"
@@ -301,10 +302,13 @@ class Guard {
   std::size_t snapshot_cursor_ = 0;   // records fed to the incremental snapshotter
   std::size_t early_cursor_ = 0;      // records walked by try_early_block
   std::size_t fib_index_cursor_ = 0;  // records folded into the FIB-update index
-  /// Latest FIB-update I/O per prefix (and per router+prefix), in capture
+  /// Latest FIB-update I/O per prefix, overall and per router, in capture
   /// order — replaces the per-violation linear rescans of the capture.
-  std::map<Prefix, IoId> latest_fib_update_;
-  std::map<std::pair<RouterId, Prefix>, IoId> latest_fib_update_by_router_;
+  struct LatestFibUpdates {
+    IoId any = kNoIo;
+    std::vector<std::pair<RouterId, IoId>> by_router;
+  };
+  std::unordered_map<Prefix, LatestFibUpdates> latest_fib_updates_;
 
   /// Stream-health transition count at the last scan; a change trips the
   /// scan watchdog (full re-verify, EC cache cleared).

@@ -19,13 +19,10 @@ class IncrementalHbgBuilder {
   explicit IncrementalHbgBuilder(MatcherOptions options = {}) : engine_(options) {}
 
   /// Share the capture record store (typically &CaptureHub::records()) with
-  /// the graph and match engine so neither copies records. The store must
-  /// outlive this builder and only grow; spans passed to append must then be
-  /// subspans of the store. Call before the first append.
-  void attach_store(const std::vector<IoRecord>* store) {
-    graph_.attach_record_store(store);
-    engine_.attach_store(store);
-  }
+  /// the graph so it does not copy records. The store must outlive this
+  /// builder and only grow; spans passed to append must then be subspans of
+  /// the store. Call before the first append.
+  void attach_store(const std::vector<IoRecord>* store) { graph_.attach_record_store(store); }
 
   /// Ingest records (capture order; ids must be new). Returns the number
   /// of edges added. When `new_edges` is non-null, every added edge is also

@@ -9,53 +9,138 @@ namespace {
 bool is_bgp(Protocol protocol) {
   return protocol == Protocol::kEbgp || protocol == Protocol::kIbgp;
 }
+
+// Keys of RouterLog::keyed: a lane kind in the top byte, then the protocol
+// and an optional prefix (present bit, address, length).
+enum : std::uint64_t { kBgpAnnounceLane = 1, kBgpWithdrawLane = 2, kRibLane = 3 };
+
+std::uint64_t prefix_bits(const std::optional<Prefix>& prefix) {
+  if (!prefix) return 0;
+  return std::uint64_t{1} << 40 | std::uint64_t{prefix->address().bits()} << 8 | prefix->length();
+}
+std::uint64_t bgp_recv_lane(bool withdraw, std::uint64_t prefix) {
+  return (withdraw ? kBgpWithdrawLane : kBgpAnnounceLane) << 56 | prefix;
+}
+std::uint64_t rib_lane(Protocol protocol, std::uint64_t prefix) {
+  return kRibLane << 56 | std::uint64_t{static_cast<std::uint8_t>(protocol)} << 48 | prefix;
+}
+// Records whose `detail` a rule or a channel compares: OSPF receives (LSA
+// lanes, channels) and every non-BGP send (the flood rule's same-LSA lookup,
+// channels).
+bool keyed_by_detail(const IoRecord& record) {
+  return record.kind == IoKind::kSendAdvert
+             ? !is_bgp(record.protocol)
+             : record.kind == IoKind::kRecvAdvert && record.protocol == Protocol::kOspf;
+}
 }  // namespace
 
-void RuleMatchEngine::log_insert(RouterLog& log, RecordRef ref) {
-  const IoRecord& record = at(ref);
-  // Logs arrive nearly sorted; search from the back.
-  auto position = log.records.end();
-  while (position != log.records.begin()) {
-    const IoRecord& previous = at(*(position - 1));
-    if (previous.logged_time < record.logged_time ||
-        (previous.logged_time == record.logged_time && previous.id < record.id)) {
-      break;
-    }
-    --position;
+void RuleMatchEngine::Fifo::pop_front() {
+  if (++head == entries.size()) {
+    entries.clear();
+    head = 0;
+  } else if (head >= 64 && head * 2 >= entries.size()) {
+    entries.erase(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
   }
-  log.records.insert(position, ref);
 }
 
-template <typename Pred>
-const IoRecord* RuleMatchEngine::log_nearest(const RouterLog& log, SimTime before,
-                                             SimTime window, SimTime slack,
-                                             Pred&& pred) const {
-  const std::vector<RecordRef>& refs = log.records;
-  auto it = std::upper_bound(refs.begin(), refs.end(), before,
-                             [&](SimTime t, RecordRef r) { return t < at(r).logged_time; });
-  const IoRecord* backward = nullptr;
-  for (auto walk = it; walk != refs.begin();) {
-    --walk;
-    const IoRecord& candidate = at(*walk);
-    if (candidate.logged_time < before - window) break;
-    if (pred(candidate)) {
-      backward = &candidate;
-      break;
-    }
+std::size_t RuleMatchEngine::ChannelKeyHash::operator()(const ChannelKey& key) const {
+  std::uint64_t routers = std::uint64_t{key.from} << 32 | key.to;
+  return std::hash<std::uint64_t>{}(routers * 0x9E3779B97F4A7C15ull ^ key.content);
+}
+
+std::uint32_t RuleMatchEngine::intern(const std::string& content) {
+  auto it = contents_.find(content);
+  if (it != contents_.end()) return it->second;
+  std::uint32_t id = static_cast<std::uint32_t>(contents_.size());
+  contents_.emplace(content, id);
+  return id;
+}
+
+RuleMatchEngine::Keys RuleMatchEngine::intern_keys(const IoRecord& record) {
+  return {prefix_bits(record.prefix), keyed_by_detail(record) ? intern(record.detail) : kNoDetail};
+}
+
+RuleMatchEngine::Keys RuleMatchEngine::lookup_keys(const IoRecord& record) const {
+  Keys keys{prefix_bits(record.prefix), kNoDetail};
+  if (keyed_by_detail(record)) {
+    auto it = contents_.find(record.detail);
+    if (it != contents_.end()) keys.detail = it->second;
   }
-  const IoRecord* forward = nullptr;
-  for (auto walk = it; walk != refs.end(); ++walk) {
-    const IoRecord& candidate = at(*walk);
-    if (candidate.logged_time > before + slack) break;
-    if (pred(candidate)) {
-      forward = &candidate;
-      break;
-    }
+  return keys;
+}
+
+void RuleMatchEngine::insert(Lane& lane, const IoRecord& record) {
+  Entry entry{record.logged_time, record.id};
+  // Logs arrive nearly sorted: append unless a later entry is already in.
+  if (lane.empty() || lane.back() < entry) {
+    lane.push_back(entry);
+  } else {
+    lane.insert(std::upper_bound(lane.begin(), lane.end(), entry), entry);
   }
-  if (backward == nullptr) return forward;
-  if (forward == nullptr) return backward;
-  return (before - backward->logged_time) <= (forward->logged_time - before) ? backward
-                                                                             : forward;
+}
+
+RuleMatchEngine::RouterLog& RuleMatchEngine::index(const IoRecord& record, const Keys& keys) {
+  RouterLog& log = logs_[record.router];
+  Lane* lane = nullptr;
+  switch (record.kind) {
+    case IoKind::kConfigChange:
+      lane = &log.config;
+      break;
+    case IoKind::kHardwareStatus:
+      lane = &log.hardware;
+      break;
+    case IoKind::kRecvAdvert:
+      if (is_bgp(record.protocol)) {
+        lane = &log.keyed[bgp_recv_lane(record.withdraw, keys.prefix)];
+      } else if (record.protocol == Protocol::kOspf) {
+        insert(log.ospf_recv, record);
+        lane = &log.lsa[keys.detail];
+      }
+      break;
+    case IoKind::kRibUpdate:
+      lane = &log.keyed[rib_lane(record.protocol, keys.prefix)];
+      break;
+    case IoKind::kFibUpdate:
+    case IoKind::kSendAdvert:
+      break;  // effects only: no rule looks them up as a cause
+  }
+  if (lane != nullptr) insert(*lane, record);
+  return log;
+}
+
+RuleMatchEngine::Bracket RuleMatchEngine::bracket(const Lane* lane, SimTime before,
+                                                  SimTime window, SimTime slack) {
+  Bracket out;
+  if (lane == nullptr || lane->empty()) return out;
+  // Lookups are mostly for the newest stamp: skip the search then.
+  auto it = lane->back().time <= before
+                ? lane->end()
+                : std::upper_bound(lane->begin(), lane->end(), before,
+                                   [](SimTime t, const Entry& e) { return t < e.time; });
+  if (it != lane->begin() && (it - 1)->time >= before - window) out.backward = &*(it - 1);
+  if (it != lane->end() && it->time <= before + slack) out.forward = &*it;
+  return out;
+}
+
+RuleMatchEngine::Bracket RuleMatchEngine::merge(Bracket a, Bracket b) {
+  if (b.backward != nullptr && (a.backward == nullptr || *a.backward < *b.backward)) {
+    a.backward = b.backward;
+  }
+  if (b.forward != nullptr && (a.forward == nullptr || *b.forward < *a.forward)) {
+    a.forward = b.forward;
+  }
+  return a;
+}
+
+const RuleMatchEngine::Entry* RuleMatchEngine::nearest(Bracket bracket, SimTime before) {
+  const Entry* pick = bracket.backward;
+  // The backward match wins ties in distance.
+  if (pick == nullptr ||
+      (bracket.forward != nullptr && bracket.forward->time - before < before - pick->time)) {
+    pick = bracket.forward;
+  }
+  return pick;
 }
 
 std::string RuleMatchEngine::channel_key(const IoRecord& record, bool is_send) {
@@ -74,144 +159,117 @@ void RuleMatchEngine::add_all(std::span<const IoRecord> records,
 }
 
 void RuleMatchEngine::add(const IoRecord& record, std::vector<InferredHbr>& out) {
-  RecordRef ref;
-  std::less_equal<const IoRecord*> le;
-  std::less<const IoRecord*> lt;
-  if (external_ != nullptr && !external_->empty() && le(external_->data(), &record) &&
-      lt(&record, external_->data() + external_->size())) {
-    ref = static_cast<RecordRef>(&record - external_->data());
-  } else {
-    ref = kOwnedBit | static_cast<RecordRef>(owned_.size());
-    owned_.push_back(record);
-  }
-  const IoRecord& stored = at(ref);
-  log_insert(logs_[stored.router], ref);
+  const Keys keys = intern_keys(record);
+  const RouterLog& local = index(record, keys);
   ++records_seen_;
 
-  match_as_late_cause(stored, out);
-  match_as_effect(stored, out);
-  if (channel_matching_) match_channels(ref, stored, out);
+  match_as_late_cause(record, keys, out);
+  match_as_effect(local, record, keys, out);
+  if (channel_matching_) match_channels(record, keys, out);
 
   // Track effects that might still gain a late cause; prune old ones.
-  if (stored.kind == IoKind::kRibUpdate || stored.kind == IoKind::kFibUpdate ||
-      stored.kind == IoKind::kSendAdvert) {
-    recent_effects_.push_back(ref);
+  if (options_.local_slack_us <= 0) return;
+  if (record.kind == IoKind::kRibUpdate || record.kind == IoKind::kFibUpdate ||
+      record.kind == IoKind::kSendAdvert) {
+    recent_effects_.push_back(
+        {record.logged_time, record.id, keys, record.router, record.kind, record.protocol});
   }
-  SimTime horizon = stored.logged_time - options_.local_slack_us - 1;
-  while (!recent_effects_.empty() && at(recent_effects_.front()).logged_time < horizon) {
+  SimTime horizon = record.logged_time - options_.local_slack_us - 1;
+  while (!recent_effects_.empty() && recent_effects_.front().time < horizon) {
     recent_effects_.pop_front();
   }
 }
 
-void RuleMatchEngine::match_as_effect(const IoRecord& r, std::vector<InferredHbr>& out) {
-  const RouterLog& local = logs_[r.router];
-  SimTime t = r.logged_time;
+void RuleMatchEngine::match_as_effect(const RouterLog& local, const IoRecord& r,
+                                      const Keys& keys, std::vector<InferredHbr>& out) const {
+  const SimTime t = r.logged_time;
   const SimTime w = options_.short_window_us;
   const SimTime ls = options_.local_slack_us;
+  const std::uint64_t prefix = keys.prefix;
+  auto keyed = [&](std::uint64_t key) { return RouterLog::find(local.keyed, key); };
 
-  auto emit = [&](const IoRecord* from, const char* rule) {
-    if (from != nullptr && from->id != r.id) out.push_back({from->id, r.id, 1.0, rule});
-  };
   struct Candidate {
-    const IoRecord* record;
+    const Entry* entry;
     const char* rule;
   };
+  auto emit = [&](Candidate c) {
+    if (c.entry != nullptr && c.entry->id != r.id) out.push_back({c.entry->id, r.id, 1.0, c.rule});
+  };
   auto closest = [](std::initializer_list<Candidate> candidates) -> Candidate {
-    Candidate best{nullptr, nullptr};
+    Candidate best{nullptr, ""};
     for (const Candidate& c : candidates) {
-      if (c.record == nullptr) continue;
-      if (best.record == nullptr || c.record->logged_time > best.record->logged_time) best = c;
+      if (c.entry == nullptr) continue;
+      if (best.entry == nullptr || c.entry->time > best.entry->time) best = c;
     }
     return best;
   };
-  auto find_config = [&](SimTime window) {
-    return log_nearest(local, t, window, ls,
-                       [](const IoRecord& c) { return c.kind == IoKind::kConfigChange; });
+  auto find = [&](const Lane* lane, SimTime window) {
+    return nearest(bracket(lane, t, window, ls), t);
   };
-  auto find_hardware = [&] {
-    return log_nearest(local, t, w, ls,
-                       [](const IoRecord& c) { return c.kind == IoKind::kHardwareStatus; });
-  };
+  auto find_config = [&] { return find(&local.config, options_.soft_reconfig_window_us); };
+  auto find_hardware = [&] { return find(&local.hardware, w); };
 
   switch (r.kind) {
     case IoKind::kRibUpdate: {
-      const IoRecord* recv = nullptr;
-      const char* recv_rule = nullptr;
+      Candidate recv{nullptr, ""};
       if (is_bgp(r.protocol)) {
-        recv = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && is_bgp(c.protocol) && c.prefix == r.prefix;
-        });
-        recv_rule = "recv-advert->rib";
+        recv = {nearest(merge(bracket(keyed(bgp_recv_lane(false, prefix)), t, w, ls),
+                              bracket(keyed(bgp_recv_lane(true, prefix)), t, w, ls)),
+                        t),
+                "recv-advert->rib"};
       } else if (r.protocol == Protocol::kOspf) {
-        recv = log_nearest(local, t, w, ls, [](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf;
-        });
-        recv_rule = "recv-lsa->ospf-rib";
+        recv = {find(&local.ospf_recv, w), "recv-lsa->ospf-rib"};
       }
-      Candidate pick = closest({{recv, recv_rule},
-                                {find_config(options_.soft_reconfig_window_us), "config->rib"},
-                                {find_hardware(), "hardware->rib"}});
-      emit(pick.record, pick.rule != nullptr ? pick.rule : "");
-      if (recv != nullptr && recv != pick.record && is_bgp(r.protocol)) emit(recv, recv_rule);
-      if (recv == nullptr && pick.record != nullptr && is_bgp(r.protocol) &&
-          (pick.record->kind == IoKind::kConfigChange ||
-           pick.record->kind == IoKind::kHardwareStatus)) {
-        const IoRecord* stored_path = log_nearest(
-            local, t, options_.soft_reconfig_window_us, ls, [&](const IoRecord& c) {
-              return c.kind == IoKind::kRecvAdvert && is_bgp(c.protocol) &&
-                     c.prefix == r.prefix && !c.withdraw;
-            });
-        if (stored_path != nullptr) emit(stored_path, "recv-advert->rib");
+      Candidate pick =
+          closest({recv, {find_config(), "config->rib"}, {find_hardware(), "hardware->rib"}});
+      emit(pick);
+      if (!is_bgp(r.protocol)) break;
+      if (recv.entry != nullptr) {
+        // The content-matched advertisement is an HBR regardless of which
+        // input was closest (the stored path a decision re-used).
+        if (recv.entry != pick.entry) emit(recv);
+      } else if (pick.entry != nullptr) {
+        // Soft reconfiguration re-runs the decision over routes received
+        // long ago: when a config/hardware input triggered this update,
+        // also link the stored path's advertisement from the long window.
+        emit({find(keyed(bgp_recv_lane(false, prefix)), options_.soft_reconfig_window_us),
+              "recv-advert->rib"});
       }
       break;
     }
 
     case IoKind::kFibUpdate: {
-      const IoRecord* rib = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-        return c.kind == IoKind::kRibUpdate && c.prefix == r.prefix &&
-               c.protocol == r.protocol;
-      });
+      const Entry* rib = find(keyed(rib_lane(r.protocol, prefix)), w);
       if (rib != nullptr) {
-        emit(rib, "rib->fib");
+        emit({rib, "rib->fib"});
       } else {
-        Candidate pick = closest({{find_config(options_.soft_reconfig_window_us),
-                                   "config->fib"},
-                                  {find_hardware(), "hardware->fib"}});
-        emit(pick.record, pick.rule != nullptr ? pick.rule : "");
+        emit(closest({{find_config(), "config->fib"}, {find_hardware(), "hardware->fib"}}));
       }
       break;
     }
 
     case IoKind::kSendAdvert: {
       if (is_bgp(r.protocol)) {
-        const IoRecord* rib = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRibUpdate && is_bgp(c.protocol) && c.prefix == r.prefix;
-        });
+        const Entry* rib =
+            nearest(merge(bracket(keyed(rib_lane(Protocol::kEbgp, prefix)), t, w, ls),
+                          bracket(keyed(rib_lane(Protocol::kIbgp, prefix)), t, w, ls)),
+                    t);
         if (rib != nullptr) {
-          emit(rib, "bgp-rib->send");
+          emit({rib, "bgp-rib->send"});
         } else {
-          Candidate pick = closest({{find_config(options_.soft_reconfig_window_us),
-                                     "config->send"},
-                                    {find_hardware(), "hardware->send"}});
-          emit(pick.record, pick.rule != nullptr ? pick.rule : "");
+          emit(closest({{find_config(), "config->send"}, {find_hardware(), "hardware->send"}}));
         }
+        break;
+      }
+      // OSPF flooding: prefer the receive of the same LSA (identity is
+      // observable in the log line), else the closest trigger.
+      const Entry* same_lsa = find(RouterLog::find(local.lsa, keys.detail), w);
+      if (same_lsa != nullptr) {
+        emit({same_lsa, "lsa-recv->flood"});
       } else {
-        const IoRecord* same_lsa = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf &&
-                 c.detail == r.detail;
-        });
-        if (same_lsa != nullptr) {
-          emit(same_lsa, "lsa-recv->flood");
-        } else {
-          const IoRecord* any_lsa = log_nearest(local, t, w, ls, [](const IoRecord& c) {
-            return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf;
-          });
-          Candidate pick = closest({{any_lsa, "lsa-recv->flood"},
-                                    {find_config(options_.soft_reconfig_window_us),
-                                     "config->ospf-flood"},
-                                    {find_hardware(), "hardware->ospf-flood"}});
-          emit(pick.record, pick.rule != nullptr ? pick.rule : "");
-        }
+        emit(closest({{find(&local.ospf_recv, w), "lsa-recv->flood"},
+                      {find_config(), "config->ospf-flood"},
+                      {find_hardware(), "hardware->ospf-flood"}}));
       }
       break;
     }
@@ -223,50 +281,72 @@ void RuleMatchEngine::match_as_effect(const IoRecord& r, std::vector<InferredHbr
   }
 }
 
-void RuleMatchEngine::match_channels(RecordRef self, const IoRecord& r,
+void RuleMatchEngine::match_channels(const IoRecord& r, const Keys& keys,
                                      std::vector<InferredHbr>& out) {
   if (r.peer == kExternalRouter || r.peer == kInvalidRouter) return;
-  if (r.kind == IoKind::kSendAdvert) {
-    Channel& channel = channels_[channel_key(r, true)];
+  bool is_send = r.kind == IoKind::kSendAdvert;
+  if (!is_send && r.kind != IoKind::kRecvAdvert) return;
+
+  // Content ids collide exactly when channel_key()'s content strings do: an
+  // OSPF detail that reads as a prefix shares the prefix's channel.
+  std::uint32_t content = keys.detail;
+  if (r.protocol != Protocol::kOspf) {
+    auto [it, fresh] = prefix_contents_.try_emplace(keys.prefix);
+    if (fresh) it->second = intern(r.prefix ? r.prefix->to_string() : std::string());
+    content = it->second;
+  }
+  ChannelKey key{is_send ? r.router : r.peer, is_send ? r.peer : r.router,
+                 content << 1 | (r.withdraw ? 1u : 0u)};
+  auto slot = channels_.find(key);
+  if (slot == channels_.end()) {
+    if (spare_channel_.empty()) {
+      slot = channels_.try_emplace(key).first;
+    } else {
+      spare_channel_.key() = key;
+      slot = channels_.insert(std::move(spare_channel_)).position;
+    }
+  }
+  Channel& channel = slot->second;
+  const SimTime slack = options_.cross_router_slack_us;
+  if (is_send) {
     // Receives that this (too-late) send can no longer serve are dropped,
     // matching the batch matcher's skip semantics.
     while (!channel.unmatched_recvs.empty() &&
-           r.logged_time > at(channel.unmatched_recvs.front()).logged_time +
-                               options_.cross_router_slack_us) {
+           r.logged_time > channel.unmatched_recvs.front().time + slack) {
       channel.unmatched_recvs.pop_front();
     }
     if (!channel.unmatched_recvs.empty()) {
-      const IoRecord& recv = at(channel.unmatched_recvs.front());
+      out.push_back({r.id, channel.unmatched_recvs.front().id, 1.0, "send->recv"});
       channel.unmatched_recvs.pop_front();
-      out.push_back({r.id, recv.id, 1.0, "send->recv"});
     } else {
-      channel.unmatched_sends.push_back(self);
+      channel.unmatched_sends.push_back({r.logged_time, r.id});
     }
-  } else if (r.kind == IoKind::kRecvAdvert) {
-    Channel& channel = channels_[channel_key(r, false)];
+  } else {
     if (!channel.unmatched_sends.empty() &&
-        at(channel.unmatched_sends.front()).logged_time <=
-            r.logged_time + options_.cross_router_slack_us) {
-      const IoRecord& send = at(channel.unmatched_sends.front());
+        channel.unmatched_sends.front().time <= r.logged_time + slack) {
+      out.push_back({channel.unmatched_sends.front().id, r.id, 1.0, "send->recv"});
       channel.unmatched_sends.pop_front();
-      out.push_back({send.id, r.id, 1.0, "send->recv"});
     } else {
-      channel.unmatched_recvs.push_back(self);
+      channel.unmatched_recvs.push_back({r.logged_time, r.id});
     }
+  }
+  // A drained channel is the same as one never opened.
+  if (channel.unmatched_sends.empty() && channel.unmatched_recvs.empty()) {
+    spare_channel_ = channels_.extract(slot);
   }
 }
 
-void RuleMatchEngine::match_as_late_cause(const IoRecord& r, std::vector<InferredHbr>& out) {
+void RuleMatchEngine::match_as_late_cause(const IoRecord& r, const Keys& keys,
+                                          std::vector<InferredHbr>& out) const {
   if (options_.local_slack_us <= 0 || recent_effects_.empty()) return;
   bool possible_cause = r.kind == IoKind::kConfigChange || r.kind == IoKind::kHardwareStatus ||
                         r.kind == IoKind::kRecvAdvert || r.kind == IoKind::kRibUpdate;
   if (!possible_cause) return;
+  const std::uint64_t prefix = keys.prefix;
 
-  for (RecordRef effect_ref : recent_effects_) {
-    const IoRecord& effect = at(effect_ref);
+  for (const Effect& effect : recent_effects_) {
     if (effect.router != r.router) continue;
-    if (effect.logged_time > r.logged_time ||
-        effect.logged_time < r.logged_time - options_.local_slack_us) {
+    if (effect.time > r.logged_time || effect.time < r.logged_time - options_.local_slack_us) {
       continue;
     }
     // Does `r` qualify as a cause of `effect` under some same-router rule?
@@ -274,7 +354,7 @@ void RuleMatchEngine::match_as_late_cause(const IoRecord& r, std::vector<Inferre
     switch (effect.kind) {
       case IoKind::kRibUpdate:
         if (r.kind == IoKind::kRecvAdvert && is_bgp(r.protocol) && is_bgp(effect.protocol) &&
-            r.prefix == effect.prefix) {
+            prefix == effect.keys.prefix) {
           rule = "recv-advert->rib";
         } else if (r.kind == IoKind::kConfigChange) {
           rule = "config->rib";
@@ -286,17 +366,17 @@ void RuleMatchEngine::match_as_late_cause(const IoRecord& r, std::vector<Inferre
         }
         break;
       case IoKind::kFibUpdate:
-        if (r.kind == IoKind::kRibUpdate && r.prefix == effect.prefix &&
+        if (r.kind == IoKind::kRibUpdate && prefix == effect.keys.prefix &&
             r.protocol == effect.protocol) {
           rule = "rib->fib";
         }
         break;
       case IoKind::kSendAdvert:
         if (r.kind == IoKind::kRibUpdate && is_bgp(r.protocol) && is_bgp(effect.protocol) &&
-            r.prefix == effect.prefix) {
+            prefix == effect.keys.prefix) {
           rule = "bgp-rib->send";
         } else if (r.kind == IoKind::kRecvAdvert && r.protocol == Protocol::kOspf &&
-                   effect.protocol == Protocol::kOspf && r.detail == effect.detail) {
+                   effect.protocol == Protocol::kOspf && keys.detail == effect.keys.detail) {
           rule = "lsa-recv->flood";
         }
         break;

@@ -3,201 +3,17 @@
 #include <algorithm>
 #include <map>
 
+#include "hbguard/hbr/incremental.hpp"
 #include "hbguard/util/thread_pool.hpp"
 
 namespace hbguard {
 
-namespace {
-
-bool is_bgp(Protocol protocol) {
-  return protocol == Protocol::kEbgp || protocol == Protocol::kIbgp;
-}
-
-/// Per-router view of the trace sorted by logged time.
-struct RouterIndex {
-  std::vector<const IoRecord*> records;  // sorted by (logged_time, id)
-
-  /// The match nearest to `before`: the latest one at-or-before it (within
-  /// `window`), or — clock noise can log a cause slightly *after* its
-  /// effect — a match in (before, before + slack], whichever is closer in
-  /// time (ties prefer the at-or-before match).
-  template <typename Pred>
-  const IoRecord* most_recent(SimTime before, SimTime window, SimTime slack,
-                              Pred&& pred) const {
-    auto it = std::upper_bound(records.begin(), records.end(), before,
-                               [](SimTime t, const IoRecord* r) { return t < r->logged_time; });
-    const IoRecord* backward = nullptr;
-    for (auto walk = it; walk != records.begin();) {
-      --walk;
-      const IoRecord& candidate = **walk;
-      if (candidate.logged_time < before - window) break;
-      if (pred(candidate)) {
-        backward = &candidate;
-        break;
-      }
-    }
-    const IoRecord* forward = nullptr;
-    for (auto walk = it; walk != records.end(); ++walk) {
-      const IoRecord& candidate = **walk;
-      if (candidate.logged_time > before + slack) break;
-      if (pred(candidate)) {
-        forward = &candidate;
-        break;
-      }
-    }
-    if (backward == nullptr) return forward;
-    if (forward == nullptr) return backward;
-    return (before - backward->logged_time) <= (forward->logged_time - before) ? backward
-                                                                               : forward;
-  }
-};
-
-/// Same-router effect matching for one record (the parallelizable part of
-/// infer: reads only the prebuilt index, appends to its own `edges`).
-void match_effects(const IoRecord& r, const RouterIndex& local, const MatcherOptions& options,
-                   std::vector<InferredHbr>& edges) {
-  SimTime t = r.logged_time;
-  const SimTime w = options.short_window_us;
-  const SimTime ls = options.local_slack_us;
-
-  auto emit = [&](const IoRecord* from, const char* rule) {
-    if (from != nullptr && from->id != r.id) edges.push_back({from->id, r.id, 1.0, rule});
-  };
-  // Helper: closest (max logged_time) among candidate/rule pairs.
-  struct Candidate {
-    const IoRecord* record;
-    const char* rule;
-  };
-  auto closest = [](std::initializer_list<Candidate> candidates) -> Candidate {
-    Candidate best{nullptr, nullptr};
-    for (const Candidate& c : candidates) {
-      if (c.record == nullptr) continue;
-      if (best.record == nullptr || c.record->logged_time > best.record->logged_time) best = c;
-    }
-    return best;
-  };
-  auto find_config = [&](SimTime window) {
-    return local.most_recent(t, window, ls, [](const IoRecord& c) {
-      return c.kind == IoKind::kConfigChange;
-    });
-  };
-  auto find_hardware = [&] {
-    return local.most_recent(t, w, ls, [](const IoRecord& c) {
-      return c.kind == IoKind::kHardwareStatus;
-    });
-  };
-
-  switch (r.kind) {
-    case IoKind::kRibUpdate: {
-      const IoRecord* recv = nullptr;
-      const char* recv_rule = nullptr;
-      if (is_bgp(r.protocol)) {
-        recv = local.most_recent(t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && is_bgp(c.protocol) && c.prefix == r.prefix;
-        });
-        recv_rule = "recv-advert->rib";
-      } else if (r.protocol == Protocol::kOspf) {
-        recv = local.most_recent(t, w, ls, [](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf;
-        });
-        recv_rule = "recv-lsa->ospf-rib";
-      }
-      Candidate pick = closest({{recv, recv_rule},
-                                {find_config(options.soft_reconfig_window_us), "config->rib"},
-                                {find_hardware(), "hardware->rib"}});
-      emit(pick.record, pick.rule != nullptr ? pick.rule : "");
-      // The content-matched advertisement is an HBR regardless of which
-      // input was closest (the stored path a decision re-used).
-      if (recv != nullptr && recv != pick.record && is_bgp(r.protocol)) {
-        emit(recv, recv_rule);
-      }
-      // Soft reconfiguration re-runs the decision over routes received
-      // long ago: when a config/hardware input triggered this update,
-      // also link the stored path's advertisement from the long window.
-      if (recv == nullptr && pick.record != nullptr && is_bgp(r.protocol) &&
-          (pick.record->kind == IoKind::kConfigChange ||
-           pick.record->kind == IoKind::kHardwareStatus)) {
-        const IoRecord* stored = local.most_recent(
-            t, options.soft_reconfig_window_us, ls, [&](const IoRecord& c) {
-              return c.kind == IoKind::kRecvAdvert && is_bgp(c.protocol) &&
-                     c.prefix == r.prefix && !c.withdraw;
-            });
-        if (stored != nullptr) emit(stored, "recv-advert->rib");
-      }
-      break;
-    }
-
-    case IoKind::kFibUpdate: {
-      const IoRecord* rib = local.most_recent(t, w, ls, [&](const IoRecord& c) {
-        return c.kind == IoKind::kRibUpdate && c.prefix == r.prefix &&
-               c.protocol == r.protocol;
-      });
-      if (rib != nullptr) {
-        emit(rib, "rib->fib");
-      } else {
-        Candidate pick = closest({{find_config(options.soft_reconfig_window_us),
-                                   "config->fib"},
-                                  {find_hardware(), "hardware->fib"}});
-        emit(pick.record, pick.rule != nullptr ? pick.rule : "");
-      }
-      break;
-    }
-
-    case IoKind::kSendAdvert: {
-      if (is_bgp(r.protocol)) {
-        const IoRecord* rib = local.most_recent(t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRibUpdate && is_bgp(c.protocol) && c.prefix == r.prefix;
-        });
-        if (rib != nullptr) {
-          emit(rib, "bgp-rib->send");
-        } else {
-          Candidate pick = closest({{find_config(options.soft_reconfig_window_us),
-                                     "config->send"},
-                                    {find_hardware(), "hardware->send"}});
-          emit(pick.record, pick.rule != nullptr ? pick.rule : "");
-        }
-      } else {
-        // OSPF flooding: prefer the receive of the same LSA (identity is
-        // observable in the log line), else the closest trigger.
-        const IoRecord* same_lsa = local.most_recent(t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf &&
-                 c.detail == r.detail;
-        });
-        if (same_lsa != nullptr) {
-          emit(same_lsa, "lsa-recv->flood");
-        } else {
-          const IoRecord* any_lsa = local.most_recent(t, w, ls, [](const IoRecord& c) {
-            return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf;
-          });
-          Candidate pick = closest({{any_lsa, "lsa-recv->flood"},
-                                    {find_config(options.soft_reconfig_window_us),
-                                     "config->ospf-flood"},
-                                    {find_hardware(), "hardware->ospf-flood"}});
-          emit(pick.record, pick.rule != nullptr ? pick.rule : "");
-        }
-      }
-      break;
-    }
-
-    case IoKind::kRecvAdvert:
-      break;  // matched by the FIFO channel pass below
-
-    case IoKind::kConfigChange:
-    case IoKind::kHardwareStatus:
-      break;  // network inputs are provenance leaves
-  }
-}
-
-}  // namespace
-
 std::vector<InferredHbr> RuleMatchingInference::infer(std::span<const IoRecord> records) const {
-  std::map<RouterId, RouterIndex> index;
-  for (const IoRecord& r : records) index[r.router].records.push_back(&r);
-  for (auto& [router, idx] : index) {
-    std::sort(idx.records.begin(), idx.records.end(), [](const IoRecord* a, const IoRecord* b) {
-      return a->logged_time != b->logged_time ? a->logged_time < b->logged_time : a->id < b->id;
-    });
-  }
+  // Same-router rules: index the whole trace into the incremental engine's
+  // side-index lanes, then look every record's causes up in the complete
+  // lanes (read-only, so the lookups fan out safely).
+  RuleMatchEngine lanes(options_);
+  for (const IoRecord& r : records) lanes.index(r, lanes.intern_keys(r));
 
   // Effect matching per record, fanned out over the pool when one is set.
   // Chunks are contiguous record ranges; each emits into its own buffer and
@@ -213,7 +29,8 @@ std::vector<InferredHbr> RuleMatchingInference::infer(std::span<const IoRecord> 
       std::size_t begin = c * per_chunk;
       std::size_t end = std::min(records.size(), begin + per_chunk);
       for (std::size_t i = begin; i < end; ++i) {
-        match_effects(records[i], index.at(records[i].router), options_, chunk_edges[c]);
+        const IoRecord& r = records[i];
+        lanes.match_as_effect(lanes.logs_.at(r.router), r, lanes.lookup_keys(r), chunk_edges[c]);
       }
     });
     for (std::vector<InferredHbr>& chunk : chunk_edges) {
@@ -222,7 +39,7 @@ std::vector<InferredHbr> RuleMatchingInference::infer(std::span<const IoRecord> 
     }
   } else {
     for (const IoRecord& r : records) {
-      match_effects(r, index.at(r.router), options_, edges);
+      lanes.match_as_effect(lanes.logs_.at(r.router), r, lanes.lookup_keys(r), edges);
     }
   }
 
@@ -235,22 +52,13 @@ std::vector<InferredHbr> RuleMatchingInference::infer(std::span<const IoRecord> 
     std::vector<const IoRecord*> sends;
     std::vector<const IoRecord*> recvs;
   };
-  auto channel_key = [](const IoRecord& r, bool is_send) {
-    RouterId from = is_send ? r.router : r.peer;
-    RouterId to = is_send ? r.peer : r.router;
-    std::string content = r.protocol == Protocol::kOspf
-                              ? r.detail
-                              : (r.prefix ? r.prefix->to_string() : std::string());
-    return std::to_string(from) + ">" + std::to_string(to) + "|" +
-           (r.withdraw ? "w|" : "a|") + content;
-  };
   std::map<std::string, Channel> channels;
   for (const IoRecord& r : records) {
     if (r.peer == kExternalRouter || r.peer == kInvalidRouter) continue;
     if (r.kind == IoKind::kSendAdvert) {
-      channels[channel_key(r, true)].sends.push_back(&r);
+      channels[RuleMatchEngine::channel_key(r, true)].sends.push_back(&r);
     } else if (r.kind == IoKind::kRecvAdvert) {
-      channels[channel_key(r, false)].recvs.push_back(&r);
+      channels[RuleMatchEngine::channel_key(r, false)].recvs.push_back(&r);
     }
   }
   auto by_time = [](const IoRecord* a, const IoRecord* b) {

@@ -51,7 +51,8 @@ class RuleMatchingInference : public HbrInferencer {
 
   const MatcherOptions& options() const { return options_; }
 
-  /// Fan candidate matching out over per-router log windows on `pool`
+  /// Fan the per-record cause lookups (read-only, over the side-index
+  /// lanes RuleMatchEngine builds from the whole trace) out on `pool`
   /// (nullptr = serial). Each worker chunk emits edges into its own buffer
   /// in record order and the chunks concatenate in record order, so the
   /// edge list — and every downstream HBG — is byte-identical to the serial
